@@ -1,4 +1,5 @@
-"""Benchmark harness: one runner per table/figure of the paper.
+"""Benchmark harness: one runner per table/figure of the paper, in
+:mod:`repro.bench.experiments`.
 
 =============  ========================================  =====================
 Experiment     Paper result                              Runner
@@ -13,34 +14,7 @@ Table II       sum of all statement response times       :func:`run_table2`
 Table III      database sizes                            :func:`run_table3`
 =============  ========================================  =====================
 
-``python -m repro.bench --scale 200`` regenerates everything and prints
-the paper-style rows.
+Each suite, paper figure or extension, is one ``Suite`` record in
+:mod:`repro.bench.suites`; ``python -m repro.bench --scale 200``
+regenerates everything and prints the paper-style rows.
 """
-
-from repro.bench.harness import ExperimentResult, Series, summarize
-from repro.bench.tpcw_lab import TpcwLab
-from repro.bench.experiments import (
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "Series",
-    "TpcwLab",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "summarize",
-]

@@ -1,103 +1,36 @@
-"""CLI: regenerate every table and figure.
+"""CLI: regenerate every table and figure, or run one suite's CI gate.
 
     python -m repro.bench --scale 200 --reps 10 --out results.txt
+    python -m repro.bench --only fig11,storage --emit-json out.json
+    python -m repro.bench --gate faults
 
-``--emit-json PATH`` additionally writes a machine-readable trajectory
-file recording, per experiment, the wall-clock seconds the simulator
-itself burned plus the simulated-latency statistics (the paper's
-metric). ``--baseline-json PATH`` merges a previously emitted file in
-as the comparison baseline and reports wall-clock speedups against it.
-``--only a,b,c`` restricts the run to a subset of experiments
-(``table1, fig10, fig11, fig12, fig13, fig14, table2, table3,
-storage, concurrency, scaleout, faults, replication,
-orchestration, query, serving, federation``) — handy for quick perf
-checks. An unknown or empty selection exits nonzero with the valid
-list, and a suite-specific flag combined with an ``--only`` that does
-not select its suite is rejected instead of silently ignored.
-
-``--only concurrency --emit-json`` (likewise ``scaleout``, ``faults``,
-``replication``, ``orchestration`` and ``query``) emits a fully deterministic
-trajectory (virtual-time metrics only, no wall-clock entries): two
-runs with the same seed produce byte-identical JSON. The ``faults``
-experiment additionally verifies the chaos invariants (no acked write
-lost, no scan duplication/loss) and aborts on any violation;
-``replication`` sweeps replica count x crash rate with a nonzero
-recovery-replay cost and further enforces the bounded-staleness
-follower-read oracle; ``orchestration`` drives a staged rolling
-scale-out (plan -> diff -> apply/verify/commit) through the same
-chaos harness and aborts if any stage fails to commit.
+The suites, their flags and their gates are the records in
+:mod:`repro.bench.suites`. A suite's own flag under an ``--only`` that
+does not select it is an error, not silently ignored. ``--emit-json``
+writes the simulated-latency statistics plus the wall-clock seconds of
+each timed suite (the TPC-W lab setup is its own ``tpcw_lab`` line);
+deterministic suites record virtual time only, so reruns emit
+byte-identical JSON. ``--gate`` writes into ``bench-gate/<suite>/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 import time
+from functools import partial
+from pathlib import Path
 
-from repro.bench.experiments import (
-    run_concurrency,
-    run_faults,
-    run_federation,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_orchestration,
-    run_query,
-    run_replication,
-    run_scaleout,
-    run_serving,
-    run_storage_perf,
-    run_table1,
-    run_table2,
-    run_table3,
-)
+from repro.bench.suites import SUITES, Suite, holds
 from repro.bench.tpcw_lab import TpcwLab
 
-ALL_EXPERIMENTS = (
-    "table1", "fig13", "storage", "fig10", "fig11", "fig12", "fig14",
-    "table2", "table3", "concurrency", "scaleout", "faults", "replication",
-    "orchestration", "query", "serving", "federation",
-)
-
-#: Suite-specific flags (argparse dest -> suite). A non-default value
-#: for one of these combined with an explicit ``--only`` that does NOT
-#: select its suite is a contradiction: the flag would be silently
-#: ignored, so the CLI refuses it instead.
-SUITE_FLAGS = {
-    "micro_scales": "fig10",
-    "storage_rows": "storage",
-    "clients": "concurrency",
-    "concurrency_txns": "concurrency",
-    "concurrency_scale": "concurrency",
-    "servers": "scaleout",
-    "scaleout_clients": "scaleout",
-    "scaleout_ops": "scaleout",
-    "crash_cycles": "faults",
-    "faults_clients": "faults",
-    "faults_ops": "faults",
-    "replicas": "replication",
-    "replication_cycles": "replication",
-    "replication_clients": "replication",
-    "replication_ops": "replication",
-    "orchestration_cycles": "orchestration",
-    "orchestration_clients": "orchestration",
-    "orchestration_ops": "orchestration",
-    "serving_clients": "serving",
-    "serving_ops": "serving",
-    "serving_population": "serving",
-    "serving_zipf_s": "serving",
-    "query_scale": "query",
-    "query_reps": "query",
-    "federation_scale": "federation",
-    "federation_reps": "federation",
-    "federation_clients": "federation",
-}
+#: Directory ``--gate`` writes its smoke outputs and rerun JSON into.
+GATE_DIR = "bench-gate"
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench",
         description="Regenerate every table and figure of the paper.",
@@ -106,84 +39,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="TPC-W customers (paper: 1,000,000)")
     parser.add_argument("--reps", type=int, default=10,
                         help="repetitions per measurement (paper: 10)")
-    parser.add_argument("--micro-scales", type=str, default="50,500,5000",
-                        help="comma-separated micro-benchmark scales")
-    parser.add_argument("--storage-rows", type=int, default=50_000,
-                        help="rows for the storage-layer perf experiment")
-    parser.add_argument("--clients", type=str, default="1,4,16,64",
-                        help="comma-separated client counts for the "
-                             "concurrency experiment")
-    parser.add_argument("--concurrency-txns", type=int, default=8,
-                        help="transactions per virtual client")
-    parser.add_argument("--concurrency-scale", type=int, default=40,
-                        help="TPC-W customers for the concurrency experiment")
-    parser.add_argument("--servers", type=str, default="1,2,4,8",
-                        help="comma-separated region-server counts for the "
-                             "scale-out experiment")
-    parser.add_argument("--scaleout-clients", type=str, default="4,16",
-                        help="comma-separated client counts for the "
-                             "scale-out experiment")
-    parser.add_argument("--scaleout-ops", type=int, default=60,
-                        help="operations per virtual client in the "
-                             "scale-out experiment")
-    parser.add_argument("--crash-cycles", type=str, default="0,1,2,4",
-                        help="comma-separated crash/recover cycle counts "
-                             "for the fault-injection experiment")
-    parser.add_argument("--faults-clients", type=str, default="4,8",
-                        help="comma-separated client counts for the "
-                             "fault-injection experiment")
-    parser.add_argument("--faults-ops", type=int, default=64,
-                        help="operations per virtual client in the "
-                             "fault-injection experiment")
-    parser.add_argument("--replicas", type=str, default="1,2,3",
-                        help="comma-separated replica counts for the "
-                             "replication experiment (1 = no replication)")
-    parser.add_argument("--replication-cycles", type=str, default="0,2,4",
-                        help="comma-separated crash cycle counts for the "
-                             "replication experiment")
-    parser.add_argument("--replication-clients", type=int, default=6,
-                        help="virtual clients in the replication experiment")
-    parser.add_argument("--replication-ops", type=int, default=48,
-                        help="operations per virtual client in the "
-                             "replication experiment")
-    parser.add_argument("--orchestration-cycles", type=str, default="0,2",
-                        help="comma-separated crash cycle counts for the "
-                             "orchestration experiment (0 = no chaos)")
-    parser.add_argument("--orchestration-clients", type=int, default=4,
-                        help="virtual clients in the orchestration experiment")
-    parser.add_argument("--orchestration-ops", type=int, default=48,
-                        help="operations per virtual client in the "
-                             "orchestration experiment")
-    parser.add_argument("--serving-clients", type=str, default="64,256,1024",
-                        help="comma-separated virtual-client counts "
-                             "(offered load) for the serving experiment")
-    parser.add_argument("--serving-ops", type=int, default=6,
-                        help="operations per virtual client in the "
-                             "serving experiment")
-    parser.add_argument("--serving-population", type=int, default=1_000_000,
-                        help="Zipfian user population for the serving "
-                             "experiment (paper: millions of users)")
-    parser.add_argument("--serving-zipf-s", type=float, default=1.1,
-                        help="Zipf skew parameter s for the serving "
-                             "experiment")
-    parser.add_argument("--query-scale", type=int, default=200,
-                        help="TPC-W customers for the query-engine "
-                             "experiment")
-    parser.add_argument("--query-reps", type=int, default=5,
-                        help="repetitions per query in the query-engine "
-                             "experiment")
-    parser.add_argument("--federation-scale", type=int, default=30,
-                        help="TPC-W customers for the federation "
-                             "experiment")
-    parser.add_argument("--federation-reps", type=int, default=4,
-                        help="repetitions per query in the federation "
-                             "experiment")
-    parser.add_argument("--federation-clients", type=int, default=4,
-                        help="virtual clients in the federated "
-                             "scheduled write mix")
+    for suite in SUITES.values():
+        for flag in suite.flags:
+            parser.add_argument(flag.name, type=flag.type,
+                                default=flag.default, help=flag.help)
     parser.add_argument("--only", type=str, default=None,
                         help="comma-separated subset of experiments to run: "
-                             + ",".join(ALL_EXPERIMENTS))
+                             + ",".join(SUITES))
+    parser.add_argument("--gate", choices=[n for n, s in SUITES.items() if s.gate],
+                        default=None,
+                        help="run this suite's CI gate at its fixed CI "
+                             "arguments and exit nonzero naming any failed "
+                             "predicate")
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
     parser.add_argument("--emit-json", type=str, default=None,
@@ -193,33 +60,47 @@ def main(argv: list[str] | None = None) -> int:
                         help="previously emitted JSON to compare wall-clock "
                              "against (recorded in the output)")
     parser.add_argument("--quiet", action="store_true")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+
+    if args.gate is not None:
+        ignored = sorted(
+            f"--{dest.replace('_', '-')}"
+            for dest, value in vars(args).items()
+            if dest not in ("gate", "quiet") and value != parser.get_default(dest)
+        )
+        if ignored:
+            parser.error(
+                "--gate runs the suite at its fixed CI arguments; drop "
+                + ", ".join(ignored)
+            )
+        return run_gate(SUITES[args.gate])
 
     say = (lambda _m: None) if args.quiet else (
         lambda m: print(f"  .. {m}", file=sys.stderr)
     )
+    valid = ", ".join(SUITES)
     selected = (
-        set(ALL_EXPERIMENTS)
+        set(SUITES)
         if args.only is None
         else {s.strip() for s in args.only.split(",") if s.strip()}
     )
-    unknown = selected - set(ALL_EXPERIMENTS)
+    unknown = selected - set(SUITES)
     if unknown:
-        parser.error(
-            f"unknown experiments: {sorted(unknown)} "
-            f"(valid: {', '.join(ALL_EXPERIMENTS)})"
-        )
+        parser.error(f"unknown experiments: {sorted(unknown)} (valid: {valid})")
     if not selected:
-        parser.error(
-            "--only selected no experiments "
-            f"(valid: {', '.join(ALL_EXPERIMENTS)})"
-        )
+        parser.error(f"--only selected no experiments (valid: {valid})")
     if args.only is not None:
         contradictory = sorted(
-            f"--{dest.replace('_', '-')} (belongs to {suite!r})"
-            for dest, suite in SUITE_FLAGS.items()
-            if suite not in selected
-            and getattr(args, dest) != parser.get_default(dest)
+            f"{flag.name} (belongs to {suite.name!r})"
+            for suite in SUITES.values()
+            if suite.name not in selected
+            for flag in suite.flags
+            if getattr(args, flag.dest) != flag.default
         )
         if contradictory:
             parser.error(
@@ -245,169 +126,24 @@ def main(argv: list[str] | None = None) -> int:
         wall_clock_s[name] = round(time.perf_counter() - t0, 4)
         return out
 
-    def record(result) -> None:
-        experiments[result.experiment_id] = result.to_dict()
-        sections.append(result.to_text())
-
-    if "table1" in selected:
-        sections.append("Table I — qualitative comparison\n"
-                        + timed("table1", run_table1))
-    if "fig13" in selected:
-        sections.append("Fig. 13 — evaluated configurations\n"
-                        + timed("fig13", run_fig13))
-    if "storage" in selected:
-        say(f"[storage] load + scan {args.storage_rows} rows")
-        record(timed("storage", lambda: run_storage_perf(
-            num_rows=args.storage_rows, repetitions=min(args.reps, 5))))
-    if "fig10" in selected:
-        micro_scales = tuple(int(s) for s in args.micro_scales.split(","))
-        fig10 = timed("fig10", lambda: run_fig10(
-            micro_scales, args.reps, progress=say))
-        for r in fig10.values():
-            record(r)
-    if "fig11" in selected:
-        record(timed("fig11", lambda: run_fig11(repetitions=args.reps)))
-    if "concurrency" in selected:
-        # deliberately NOT wall-clock-timed: the concurrency trajectory
-        # must be byte-identical across runs with the same seed, and the
-        # experiment itself reports only virtual-time metrics
-        client_counts = tuple(
-            int(s) for s in args.clients.split(",") if s.strip() and int(s) > 0
-        )
-        for r in run_concurrency(
-            client_counts,
-            txns_per_client=args.concurrency_txns,
-            num_customers=args.concurrency_scale,
-            progress=say,
-        ).values():
-            record(r)
-    if "scaleout" in selected:
-        # like concurrency: virtual-time metrics only, never wall-clock
-        # timed, so the emitted trajectory is byte-identical across runs
-        server_counts = tuple(
-            int(s) for s in args.servers.split(",") if s.strip() and int(s) > 0
-        )
-        scaleout_clients = tuple(
-            int(s)
-            for s in args.scaleout_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_scaleout(
-            server_counts,
-            scaleout_clients,
-            ops_per_client=args.scaleout_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "faults" in selected:
-        # chaos trajectory: virtual-time metrics only, never wall-clock
-        # timed, so the emitted JSON is byte-identical across runs; any
-        # durability/scan-consistency invariant violation aborts the run
-        cycle_counts = tuple(
-            int(s)
-            for s in args.crash_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        faults_clients = tuple(
-            int(s)
-            for s in args.faults_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_faults(
-            cycle_counts,
-            faults_clients,
-            ops_per_client=args.faults_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "replication" in selected:
-        # replication trajectory: virtual-time metrics only, never
-        # wall-clock timed, so the emitted JSON is byte-identical across
-        # runs; any durability/staleness violation aborts the run
-        replica_counts = tuple(
-            int(s)
-            for s in args.replicas.split(",")
-            if s.strip() and int(s) > 0
-        )
-        replication_cycles = tuple(
-            int(s)
-            for s in args.replication_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        for r in run_replication(
-            replica_counts,
-            replication_cycles,
-            clients=args.replication_clients,
-            ops_per_client=args.replication_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "orchestration" in selected:
-        # rolling-operations trajectory: virtual-time metrics only,
-        # never wall-clock timed, so the emitted JSON is byte-identical
-        # across runs; an uncommitted stage or any durability/layout
-        # violation aborts the run
-        orchestration_cycles = tuple(
-            int(s)
-            for s in args.orchestration_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        for r in run_orchestration(
-            orchestration_cycles,
-            clients=args.orchestration_clients,
-            ops_per_client=args.orchestration_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "serving" in selected:
-        # serving trajectory: virtual-time metrics only, never
-        # wall-clock timed, so the emitted JSON is byte-identical across
-        # runs; any durability/read-oracle violation aborts the run
-        serving_clients = tuple(
-            int(s)
-            for s in args.serving_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_serving(
-            serving_clients,
-            ops_per_client=args.serving_ops,
-            population=args.serving_population,
-            zipf_s=args.serving_zipf_s,
-            progress=say,
-        ).values():
-            record(r)
-    if "federation" in selected:
-        # routed vs pinned single-system execution: virtual-time series
-        # only, never wall-clock timed, so the emitted JSON is
-        # byte-identical across runs; any routed/pinned row divergence
-        # aborts the run
-        record(run_federation(
-            num_customers=args.federation_scale,
-            repetitions=args.federation_reps,
-            clients=args.federation_clients,
-            progress=say,
-        ))
-    if "query" in selected:
-        # engine comparison: virtual-time series only, never wall-clock
-        # timed, so the emitted JSON is byte-identical across runs; the
-        # wall-clock engine race on the limited broadcast join goes to
-        # stderr and is asserted by query_smoke in CI
-        record(run_query(
-            num_customers=args.query_scale,
-            repetitions=args.query_reps,
-            progress=say,
-        ))
-
-    lab_needed = selected & {"fig12", "fig14", "table2", "table3"}
-    if lab_needed:
-        lab = TpcwLab(num_customers=args.scale, repetitions=args.reps)
-        runners = {
-            "fig12": run_fig12, "fig14": run_fig14,
-            "table2": run_table2, "table3": run_table3,
-        }
-        for name in ("fig12", "fig14", "table2", "table3"):
-            if name in selected:
-                record(timed(name, lambda r=runners[name]: r(lab, progress=say)))
+    lab = None
+    for suite in SUITES.values():
+        if suite.name not in selected:
+            continue
+        if suite.uses_lab and lab is None:
+            # one population + measurement pass serves every lab suite
+            lab = TpcwLab(num_customers=args.scale, repetitions=args.reps)
+            timed("tpcw_lab", lambda: lab.measure_all(say))
+        run = partial(suite.run, args, say, lab)
+        # deterministic suites are never wall-clock timed, so their
+        # emitted JSON stays byte-identical across runs
+        out = run() if suite.deterministic else timed(suite.name, run)
+        if isinstance(out, str):
+            sections.append(out)
+            continue
+        for result in out:
+            experiments[result.experiment_id] = result.to_dict()
+            sections.append(result.to_text())
 
     report = "\n\n".join(sections)
     print(report)
@@ -437,10 +173,57 @@ def main(argv: list[str] | None = None) -> int:
             payload["wall_clock_speedup_vs_baseline"] = _speedups(
                 baseline, experiments, wall_clock_s
             )
-        with open(args.emit_json, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.emit_json, payload)
     return 0
+
+
+def run_gate(suite: Suite) -> int:
+    """Run ``suite``'s gate; 0 when every predicate holds, else 1."""
+    gate = suite.gate
+    out_dir = Path(GATE_DIR, suite.name)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    failed: list[str] = []
+    for smoke in gate.smokes:
+        name = smoke.call.func.__name__
+        out = smoke.call()
+        print(f"[gate {suite.name}] {name}: {out}")
+        _write_json(out_dir / f"{name}.json", out)
+        for predicate in smoke.predicates:
+            failed += _verdict(suite, predicate, holds(predicate, out))
+    if gate.sweep and not failed:
+        paths = [out_dir / f"{suite.name}-{x}.json" for x in "ab"]
+        for path in paths:
+            # separate processes: no state cached in this one can make
+            # the two files agree
+            argv = [sys.executable, "-m", "repro.bench", "--only", suite.name,
+                    *gate.sweep, "--emit-json", str(path), "--quiet"]
+            returncode = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
+            failed += _verdict(suite, f"exit 0: {' '.join(argv[1:])}",
+                               returncode == 0)
+        if not failed:
+            first, second = (p.read_bytes() for p in paths)
+            failed += _verdict(suite, f"{paths[0]} == {paths[1]} byte for byte",
+                               first == second)
+            doc = json.loads(first)
+            for check in gate.json_checks:
+                failed += _verdict(suite, check.__name__, check(doc))
+    if failed:
+        print(f"gate {suite.name} FAILED: " + "; ".join(failed), file=sys.stderr)
+        return 1
+    print(f"[gate {suite.name}] all predicates hold")
+    return 0
+
+
+def _verdict(suite: Suite, name: str, ok) -> list[str]:
+    """Print one predicate's outcome; ``[name]`` when it failed."""
+    print(f"[gate {suite.name}] {'ok  ' if ok else 'FAIL'} {name}")
+    return [] if ok else [name]
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _without_output_paths(argv: list[str]) -> list[str]:

@@ -36,7 +36,8 @@ from repro.sim.faults import (
 )
 from repro.sim.rng import derive_rng
 from repro.tpcw.serving import ServingWorkload, ZipfianPopulation
-from repro.sim.scheduler import DeterministicScheduler, percentile, run_transaction
+from repro.sim.metrics import percentile
+from repro.sim.scheduler import DeterministicScheduler, run_transaction
 from repro.synergy.locks import LockBatch
 from repro.synergy.system import SynergySystem
 from repro.tpcw.microbench import (
@@ -810,7 +811,7 @@ def faults_smoke(
     seed: int = 20170904,
 ) -> dict[str, int]:
     """CI smoke: one high-contention chaos cell; returns the fault and
-    invariant counters (the job asserts real crash/recover cycles were
+    invariant counters (its gate asserts real crash/recover cycles were
     ridden out with zero violations)."""
     run = run_chaos_cell(
         clients=clients,
@@ -1112,7 +1113,7 @@ def serving_smoke(
     seed: int = 20170904,
 ) -> dict[str, float | int]:
     """CI smoke: one overloaded serving cell per mode; returns the
-    counters the job asserts on (shedding engaged, cache hit ratio
+    counters its gate asserts on (shedding engaged, cache hit ratio
     positive, shed p99 no worse than unshed p99, goodput within 10%,
     zero invariant violations)."""
     zipf = ZipfianPopulation()
@@ -1291,7 +1292,7 @@ def replication_smoke(
     seed: int = 20170904,
 ) -> dict[str, int]:
     """CI smoke: one replicated high-contention chaos cell; returns the
-    replication and invariant counters (the job asserts promotions and
+    replication and invariant counters (its gate asserts promotions and
     follower reads actually happened, with zero violations on the
     durability *and* staleness axes)."""
     run = run_chaos_cell(
@@ -1635,7 +1636,7 @@ def orchestration_smoke(
 ) -> dict[str, int]:
     """CI smoke: one 3-stage rollout (add servers -> raise replicas ->
     rebalance) under chaos; returns the rollout and invariant counters
-    (the job asserts every stage committed with zero violations)."""
+    (its gate asserts every stage committed with zero violations)."""
     report, rollout, history, violations, layout = run_orchestration_cell(
         cycles, clients=clients, ops_per_client=ops_per_client, seed=seed,
     )

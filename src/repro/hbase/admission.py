@@ -27,22 +27,11 @@ work. The admission controller bounds that backlog:
 
 from __future__ import annotations
 
-import math
-
 from collections import deque
 
 from repro.config import ServingConfig
 from repro.errors import ServerOverloadedError
-
-
-def _percentile(samples, q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]); mirrors
-    ``repro.sim.scheduler.percentile`` without the import cycle."""
-    ordered = sorted(samples)
-    if not ordered:
-        return float("nan")
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+from repro.sim.metrics import percentile
 
 
 class AdmissionController:
@@ -115,7 +104,7 @@ class AdmissionController:
         self._since_refresh += 1
         if self._since_refresh >= self._refresh_every:
             self._since_refresh = 0
-            p99 = _percentile(self._window, 0.99)
+            p99 = percentile(self._window, 0.99)
             self.pressure = max(1.0, p99 / self.p99_budget_ms)
 
     def stats(self) -> dict[str, int | float]:

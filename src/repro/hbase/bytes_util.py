@@ -23,10 +23,6 @@ def _escape(component: bytes) -> bytes:
     return component.replace(DELIM, ESCAPE)
 
 
-def _unescape(component: bytes) -> bytes:
-    return component.replace(ESCAPE, DELIM)
-
-
 def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
     """Encode a composite key from typed components."""
     values = list(values)

@@ -123,10 +123,6 @@ class HBaseCluster:
         self._ts += n
         return first
 
-    @property
-    def current_timestamp(self) -> int:
-        return self._ts
-
     def _bump_layout(self) -> None:
         self.layout_epoch += 1
 

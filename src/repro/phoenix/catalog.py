@@ -209,9 +209,6 @@ class Catalog:
             return self.table_for_relation(name)
         return self.entry(name)
 
-    def views_containing(self, relation: str) -> list[CatalogEntry]:
-        return [v for v in self.views() if relation in v.view_path]
-
     # -- statistics ------------------------------------------------------------------
     def estimated_rows(self, entry_name: str) -> int:
         return self.stats.get(entry_name, 1_000_000_000)

@@ -24,10 +24,6 @@ class DataType(enum.Enum):
     DATETIME = "datetime"
     BOOL = "bool"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (DataType.INT, DataType.BIGINT, DataType.FLOAT)
-
 
 _INT_BIAS = 1 << 63  # order-preserving encoding for signed integers
 

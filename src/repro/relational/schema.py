@@ -219,9 +219,6 @@ class Schema:
         self.relation(relation_name)
         return tuple(self._indexes[relation_name])
 
-    def all_indexes(self) -> dict[str, tuple[Index, ...]]:
-        return {name: tuple(v) for name, v in self._indexes.items()}
-
     # -- relationships (Definition 1) ------------------------------------------------
     def relationships(self) -> list[tuple[str, str, ForeignKey]]:
         """All (parent, child, fk) triples: child's fk references parent's PK."""

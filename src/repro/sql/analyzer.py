@@ -40,9 +40,6 @@ class JoinCondition:
     def involves(self, binding: str) -> bool:
         return binding in (self.left_binding, self.right_binding)
 
-    def relation_pair(self) -> tuple[str | None, str | None]:
-        return (self.left_relation, self.right_relation)
-
     def attr_pair_for(
         self, relation_a: str, relation_b: str
     ) -> tuple[str, str] | None:
@@ -91,9 +88,6 @@ class AnalyzedSelect:
 
     def filters_on(self, binding: str) -> list[FilterCondition]:
         return [f for f in self.filters if f.binding == binding]
-
-    def binding_for_relation(self, relation: str) -> list[str]:
-        return [b for b, r in self.bindings.items() if r == relation]
 
 
 def _resolve_column(

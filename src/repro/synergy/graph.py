@@ -49,18 +49,6 @@ class SchemaGraph:
             self._out[e.parent].append(e)
             self._in[e.child].append(e)
 
-    def out_edges(self, node: str) -> tuple[GraphEdge, ...]:
-        return tuple(self._out[node])
-
-    def in_edges(self, node: str) -> tuple[GraphEdge, ...]:
-        return tuple(self._in[node])
-
-    def edge_between(self, parent: str, child: str) -> GraphEdge | None:
-        for e in self._out[parent]:
-            if e.child == child:
-                return e
-        return None
-
     # -- DAG reduction (mechanism step 1) -------------------------------------------
     def to_dag(self, heuristic: "Heuristic") -> "SchemaGraph":
         """Keep at most one edge per (parent, child) pair — the edge with

@@ -161,11 +161,6 @@ class SynergySystem:
             pk = self.schema.relation(relation).primary_key
             self.locks.register_root_row(relation, [row[a] for a in pk])
 
-    def load_rows(self, relation: str, rows: Sequence[dict[str, Any]]) -> int:
-        for row in rows:
-            self.load_row(relation, row)
-        return len(rows)
-
     def finish_load(self) -> None:
         """Major-compact everything (the paper compacts after population)."""
         self.cluster.major_compact()

@@ -78,9 +78,6 @@ class RootedTree:
             f"{ancestor} is not an ancestor of {descendant} in tree {self.root}"
         )
 
-    def is_leaf(self, node: str) -> bool:
-        return not self.children_of(node)
-
     def describe(self) -> str:
         lines = [self.root]
 

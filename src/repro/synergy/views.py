@@ -63,12 +63,6 @@ class ViewDef:
             out.extend(schema.relation(rel).attribute_names)
         return tuple(out)
 
-    def edge_into(self, relation: str) -> GraphEdge | None:
-        for e in self.edges:
-            if e.child == relation:
-                return e
-        return None
-
     def __str__(self) -> str:
         return self.display_name
 

@@ -175,17 +175,6 @@ class VoltDBSystem:
         except UnsupportedStatementError:
             return False
 
-    def supported_under_any(self, sql: str, schemes=TPCW_SCHEMES) -> bool:
-        old = self.scheme
-        try:
-            for scheme in schemes:
-                self.scheme = scheme
-                if self.supports(sql):
-                    return True
-            return False
-        finally:
-            self.scheme = old
-
     # -- execution -----------------------------------------------------------------
     def execute(
         self,

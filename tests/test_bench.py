@@ -2,6 +2,9 @@
 experiments (Fig. 10 at tiny scale, Fig. 11, static tables)."""
 
 import math
+import re
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +17,14 @@ from repro.bench.harness import (
     render_table,
     summarize,
 )
+from repro.bench.suites import SUITES, Gate, Smoke, Suite
+
+#: Every suite-specific flag, with the suite it belongs to.
+SUITE_FLAGS = [
+    pytest.param(suite, flag, id=flag.name)
+    for suite in SUITES.values()
+    for flag in suite.flags
+]
 
 
 class TestStats:
@@ -103,6 +114,7 @@ class TestCliErrors:
         assert "unknown experiments" in err
         assert "nosuchsuite" in err
         # the valid suites are listed so the caller can self-correct
+        assert "valid:" in err
         for suite in ("query", "federation", "concurrency"):
             assert suite in err
 
@@ -139,3 +151,54 @@ class TestCliErrors:
 
         assert main(["--only", "fig13", "--quiet"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("suite, flag", SUITE_FLAGS)
+    def test_every_suite_flag_rejected_under_other_only(self, capsys, suite, flag):
+        other = next(name for name in SUITES if name != suite.name)
+        value = "3" if flag.type is str else str(flag.default + 1)
+        self._error(["--only", other, flag.name, value])
+        err = capsys.readouterr().err
+        assert flag.name in err
+        assert repr(suite.name) in err
+
+    def test_gate_rejects_other_flags(self, capsys):
+        self._error(["--gate", "faults", "--faults-ops", "9"])
+        assert "--faults-ops" in capsys.readouterr().err
+
+
+class TestSuiteRecords:
+    def test_gates_are_well_formed(self):
+        for suite in SUITES.values():
+            if suite.gate is None:
+                continue
+            for smoke in suite.gate.smokes:
+                for predicate in smoke.predicates:
+                    compile(predicate, suite.name, "eval")
+            if not suite.gate.sweep:
+                continue
+            # the byte-identical rerun only makes sense without wall-clock
+            assert suite.deterministic, suite.name
+            own = {flag.name for flag in suite.flags}
+            sweep_flags = {a for a in suite.gate.sweep if a.startswith("--")}
+            assert sweep_flags <= own, (suite.name, sweep_flags - own)
+
+    def test_ci_gate_matrix_lists_every_gated_suite(self):
+        ci = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+        matrix = re.search(r"suite: \[([^\]]*)\]", ci.read_text()).group(1)
+        listed = [s.strip() for s in matrix.split(",")]
+        assert listed == [name for name, s in SUITES.items() if s.gate]
+
+    def test_gate_names_the_failing_predicate(self, capsys, monkeypatch, tmp_path):
+        from repro.bench.__main__ import main
+
+        smoke = Smoke(
+            partial(lambda: {"hits": 0, "errors": 0}),
+            ('out["errors"] == 0', 'out["hits"] > 0'),
+        )
+        stub = Suite("stub", run=lambda a, say, lab: [], gate=Gate(smokes=(smoke,)))
+        monkeypatch.setitem(SUITES, "stub", stub)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--gate", "stub"]) == 1
+        err = capsys.readouterr().err
+        assert 'out["hits"] > 0' in err
+        assert 'out["errors"] == 0' not in err

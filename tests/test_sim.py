@@ -1,10 +1,12 @@
 """Unit tests for the virtual-time substrate."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import SimClock, Simulation
-from repro.sim.metrics import MetricsRegistry, Timer
+from repro.sim.metrics import MetricsRegistry, Timer, percentile
 from repro.sim.rng import derive_rng, derive_seed
 
 
@@ -118,6 +120,20 @@ class TestMetrics:
         reg.reset()
         assert reg.counters()["a"] == 0
         assert reg.timer("t").count == 0
+
+
+class TestPercentile:
+    def test_empty_is_nan(self):
+        assert math.isnan(percentile([], 0.5))
+
+    def test_q0_is_min_and_q1_is_max(self):
+        samples = [5.0, 1.0, 3.0, 9.0, 7.0]
+        assert percentile(samples, 0.0) == 1.0
+        assert percentile(samples, 1.0) == 9.0
+
+    def test_p99_of_100_samples_is_the_99th_value(self):
+        samples = list(range(100, 0, -1))  # 1..100, unsorted
+        assert percentile(samples, 0.99) == 99
 
 
 class TestRng:
