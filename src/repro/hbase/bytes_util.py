@@ -11,16 +11,21 @@ fixed-width numeric encodings used in keys.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Sequence
 
-from repro.relational.datatypes import DataType, decode_value, encode_value
+from repro.relational.datatypes import DataType, decoder, encoder
 
 DELIM = b"\x00"
 ESCAPE = b"\x00\xff"
 
+_SPLIT = re.compile(b"\x00(?!\xff)").split
+"""Splits at every delimiter: a ``0x00`` not followed by ``0xFF``."""
 
-def _escape(component: bytes) -> bytes:
-    return component.replace(DELIM, ESCAPE)
+
+def join_key(components: Iterable[bytes]) -> bytes:
+    """Join encoded components into a key, escaping embedded delimiters."""
+    return DELIM.join([c.replace(DELIM, ESCAPE) for c in components])
 
 
 def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
@@ -28,31 +33,12 @@ def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
     values = list(values)
     if len(values) != len(dtypes):
         raise ValueError(f"key arity mismatch: {len(values)} values, {len(dtypes)} types")
-    parts = [_escape(encode_value(dt, v)) for dt, v in zip(dtypes, values)]
-    return DELIM.join(parts)
+    return join_key([encoder(dt)(v) for dt, v in zip(dtypes, values)])
 
 
 def split_key(key: bytes) -> list[bytes]:
-    """Split a composite key into escaped components."""
-    out: list[bytes] = []
-    cur = bytearray()
-    i = 0
-    n = len(key)
-    while i < n:
-        b = key[i]
-        if b == 0:
-            if i + 1 < n and key[i + 1] == 0xFF:  # escaped 0x00
-                cur.append(0)
-                i += 2
-                continue
-            out.append(bytes(cur))
-            cur.clear()
-            i += 1
-            continue
-        cur.append(b)
-        i += 1
-    out.append(bytes(cur))
-    return out
+    """Split a composite key into its unescaped components."""
+    return [part.replace(ESCAPE, DELIM) for part in _SPLIT(key)]
 
 
 def decode_key(dtypes: Sequence[DataType], key: bytes) -> tuple[Any, ...]:
@@ -62,7 +48,7 @@ def decode_key(dtypes: Sequence[DataType], key: bytes) -> tuple[Any, ...]:
         raise ValueError(
             f"key arity mismatch: {len(parts)} components, {len(dtypes)} types"
         )
-    return tuple(decode_value(dt, p) for dt, p in zip(dtypes, parts))
+    return tuple(decoder(dt)(p) for dt, p in zip(dtypes, parts))
 
 
 def next_key(key: bytes) -> bytes:

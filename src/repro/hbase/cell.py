@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -24,6 +25,11 @@ class Cell:
         return len(self.row) + len(self.family) + len(self.qualifier) + 8 + len(self.value)
 
 
+Versions = tuple[tuple[int, bytes], ...]
+"""One column's versions, ``((timestamp, value), ...)`` newest first.
+Immutable, like a written HBase KeyValue: holders share it freely."""
+
+
 class Result:
     """Result of a Get or one Scan row: newest-first versions per column."""
 
@@ -31,16 +37,15 @@ class Result:
 
     def __init__(self, row: bytes) -> None:
         self.row = row
-        # (family, qualifier) -> list[(timestamp, value)] newest first
-        self._cells: dict[tuple[bytes, bytes], list[tuple[int, bytes]]] = {}
+        self._cells: dict[tuple[bytes, bytes], Versions] = {}
 
     @classmethod
     def from_sorted(
         cls,
         row: bytes,
-        cells: dict[tuple[bytes, bytes], list[tuple[int, bytes]]],
+        cells: dict[tuple[bytes, bytes], Versions],
     ) -> "Result":
-        """Adopt a merged cell dict whose version lists are already
+        """Adopt a merged cell dict whose version tuples are already
         newest-first (the streaming scanner's zero-copy constructor)."""
         result = cls.__new__(cls)
         result.row = row
@@ -48,9 +53,9 @@ class Result:
         return result
 
     def add(self, family: bytes, qualifier: bytes, timestamp: int, value: bytes) -> None:
-        versions = self._cells.setdefault((family, qualifier), [])
-        versions.append((timestamp, value))
-        versions.sort(key=lambda tv: -tv[0])
+        key = (family, qualifier)
+        versions = self._cells.get(key, ()) + ((timestamp, value),)
+        self._cells[key] = tuple(sorted(versions, key=lambda tv: -tv[0]))
 
     @property
     def is_empty(self) -> bool:
@@ -63,6 +68,16 @@ class Result:
         """Newest version's value, or None when the column is absent."""
         versions = self._cells.get((family, qualifier))
         return versions[0][1] if versions else None
+
+    def newest_values(
+        self, columns: Iterable[tuple[bytes, bytes]]
+    ) -> list[bytes | None]:
+        """Newest value of each column in ``columns``, None where absent."""
+        get = self._cells.get
+        return [
+            versions[0][1] if (versions := get(column)) else None
+            for column in columns
+        ]
 
     def versions(self, family: bytes, qualifier: bytes) -> list[tuple[int, bytes]]:
         return list(self._cells.get((family, qualifier), ()))

@@ -132,7 +132,7 @@ class RegionServer:
         self._check_alive()
         if self.row_cache is not None:
             self.row_cache.invalidate_row(region.name, row)
-        self.wal.append(WalEntry(region.name, "put", row, list(cells), ts))
+        self.wal.append(WalEntry(region.name, "put", row, tuple(cells), ts))
         if charge_wal:
             self.charge.wal_append()
         region.put_row(row, cells, ts)
@@ -183,7 +183,7 @@ class RegionServer:
                 row = op.row
                 cells = op.cells
                 wal_buffer_append(
-                    WalEntry(region_name, "put", row, list(cells), ts)
+                    WalEntry(region_name, "put", row, tuple(cells), ts)
                 )
                 size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
                 row_written()
@@ -203,7 +203,7 @@ class RegionServer:
                 row = op.row
                 cells = op.cells
                 wal_buffer_append(
-                    WalEntry(region_name, "put", row, list(cells), ts)
+                    WalEntry(region_name, "put", row, tuple(cells), ts)
                 )
                 size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
                 rows_written_counter.value += 1

@@ -6,13 +6,18 @@ honouring row/column tombstones, exactly as an LSM tree does. Major
 compaction folds everything into a single HFile, dropping tombstones
 and versions beyond ``max_versions``.
 
-Write-path invariants (amortized-O(1) puts):
+Write-path invariants (immutable version tuples, lazily re-sorted):
 
-* ``RowEntry.put_cell`` appends and marks the entry dirty; per-column
-  version lists are sorted newest-first *lazily*, on first read through
-  the ``cells`` property. A stable sort keyed on descending timestamp
-  reproduces exactly the ordering the old sort-on-every-put maintained
-  (equal timestamps keep insertion order).
+* A column's versions are a tuple ``((ts, value), ...)``, never a list:
+  a written cell is immutable, as an HBase KeyValue is. CPython's cyclic
+  GC untracks a tuple of atomic objects, and a dict holding only
+  untracked objects, so collections stop walking the store's cells.
+* ``RowEntry.put_cell`` and ``MemStore.apply_put`` append by building
+  a new tuple and mark the entry dirty; the ``cells`` property re-sorts
+  each dirty column newest-first *lazily*, on first read, into a new
+  tuple. A stable sort keyed on descending timestamp reproduces exactly
+  the ordering the old sort-on-every-put maintained (equal timestamps
+  keep insertion order).
 * ``MemStore`` keeps only a dict while absorbing writes; its sorted key
   list is (re)built lazily when a scan, flush or range read needs it.
 * A flush hands the memstore's entry dict and already-sorted key list
@@ -36,10 +41,9 @@ import heapq
 from typing import Iterator
 
 from repro.errors import RegionUnavailableError
-from repro.hbase.cell import Result
+from repro.hbase.cell import Result, Versions
 
 CellKey = tuple[bytes, bytes]
-Versions = list[tuple[int, bytes]]
 
 
 def _neg_ts(tv: tuple[int, bytes]) -> int:
@@ -66,26 +70,29 @@ class RowEntry:
 
     @property
     def cells(self) -> dict[CellKey, Versions]:
-        """Per-column version lists, newest first (sorted lazily)."""
+        """Per-column version tuples, newest first (sorted lazily)."""
         if self._dirty:
-            for versions in self._cells.values():
-                versions.sort(key=_neg_ts)
+            cells = self._cells
+            for key, versions in cells.items():
+                if len(versions) > 1:
+                    cells[key] = tuple(sorted(versions, key=_neg_ts))
             self._dirty = False
         return self._cells
 
     @classmethod
     def from_sorted_cells(cls, cells: dict[CellKey, Versions]) -> "RowEntry":
-        """Adopt already-newest-first version lists (compaction output)."""
+        """Adopt already-newest-first version tuples (compaction output)."""
         entry = cls.__new__(cls)
         entry._cells = cells
         return entry
 
     def put_cell(self, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
-        versions = self._cells.get((family, qualifier))
+        key = (family, qualifier)
+        versions = self._cells.get(key)
         if versions is None:
-            self._cells[(family, qualifier)] = [(ts, value)]
+            self._cells[key] = ((ts, value),)
         else:
-            versions.append((ts, value))
+            self._cells[key] = versions + ((ts, value),)
             self._dirty = True
 
     def delete_row(self, ts: int) -> None:
@@ -159,9 +166,9 @@ class MemStore:
             key = (family, qualifier)
             versions = _cells.get(key)
             if versions is None:
-                _cells[key] = [(stamp, value)]
+                _cells[key] = ((stamp, value),)
             else:
-                versions.append((stamp, value))
+                _cells[key] = versions + ((stamp, value),)
                 entry._dirty = True
             size += base_bytes + len(family) + len(qualifier) + len(value)
         return size
@@ -319,7 +326,8 @@ def merge_row(
             and time_range is None
         ):
             # fast path: no tombstones, no time filter — slice the
-            # (lazily sorted) newest-first version lists directly.
+            # (lazily sorted) newest-first version tuples directly; a
+            # slice covering a whole tuple is the tuple itself, no copy.
             # RegionScanner inlines this logic per row; keep both in sync.
             cells = s.cells
             visible: dict[CellKey, Versions] = {}
@@ -344,7 +352,7 @@ def merge_row(
             if key not in col_ts or ts > col_ts[key]:
                 col_ts[key] = ts
 
-    merged: dict[CellKey, Versions] = {}
+    merged: dict[CellKey, list[tuple[int, bytes]]] = {}
     for s in sources:
         for key, versions in s.cells.items():
             if columns is not None and key not in columns:
@@ -358,7 +366,7 @@ def merge_row(
     visible = {}
     lo, hi = time_range if time_range is not None else (0, 0)
     for key, versions in merged.items():
-        kept: Versions = []
+        kept: list[tuple[int, bytes]] = []
         key_col_ts = col_ts.get(key)
         versions.sort(key=_neg_ts)
         for ts, value in versions:
@@ -372,7 +380,7 @@ def merge_row(
             if len(kept) >= max_versions:
                 break
         if kept:
-            visible[key] = kept
+            visible[key] = tuple(kept)
     return visible or None
 
 
@@ -464,11 +472,7 @@ class RegionScanner:
                         f"region {owner.name} went offline mid-scan"
                     )
                 if plain and entry.row_tombstone_ts is None and not entry.col_tombstones:
-                    if entry._dirty:
-                        for versions in entry._cells.values():
-                            versions.sort(key=_neg_ts)
-                        entry._dirty = False
-                    cells = entry._cells
+                    cells = entry.cells
                     visible = {}
                     if columns is None:
                         for ckey, versions in cells.items():

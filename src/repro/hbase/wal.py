@@ -16,7 +16,9 @@ class WalEntry:
     positional constructor: one is appended on every write, so
     construction cost matters (≈2x cheaper than a NamedTuple), and
     unlike a ``tuple.__new__`` bypass it stays correct if fields are
-    ever added. Treated as immutable once logged."""
+    ever added. Treated as immutable once logged: a put's ``payload``
+    is a tuple of its ``(family, qualifier, value, ts)`` cells, so,
+    like the store's version tuples, the cyclic GC untracks it."""
 
     __slots__ = ("region_name", "kind", "row", "payload", "timestamp")
 
@@ -25,7 +27,7 @@ class WalEntry:
         region_name: str,
         kind: str,  # "put" | "delete"
         row: bytes,
-        payload: Any,  # put: list[(family, qualifier, value, ts)]; delete: columns|None
+        payload: Any,  # put: tuple[(family, qualifier, value, ts)]; delete: columns|None
         timestamp: int,
     ) -> None:
         self.region_name = region_name

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import SchemaError
-from repro.hbase.bytes_util import encode_key, decode_key
+from repro.hbase.bytes_util import encode_key, join_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
-from repro.relational.datatypes import DataType, decode_value, encode_value
+from repro.relational.datatypes import DataType, decoder, encoder
 from repro.relational.schema import Index, Relation, Schema
 
 CF = b"0"
@@ -58,46 +58,69 @@ class CatalogEntry:
         for a in self.attrs:
             if a not in self.dtypes:
                 raise SchemaError(f"{self.name}: attr {a!r} has no dtype")
+        # Compile the row codec once: entries are never mutated after
+        # construction, and the encode/decode methods below run once per
+        # row written or read.
+        dtypes = self.dtypes
+        self._value_attrs = tuple(a for a in self.attrs if a not in self.key_attrs)
+        self._key_dtypes = tuple(dtypes[a] for a in self.key_attrs)
+        self._key_encoders = tuple((a, encoder(dtypes[a])) for a in self.key_attrs)
+        self._key_decoders = tuple((a, decoder(dtypes[a])) for a in self.key_attrs)
+        qualifiers = [a.encode() for a in self._value_attrs]  # shared by every cell
+        self._value_columns = tuple((CF, q) for q in qualifiers)
+        self._value_encoders = tuple(
+            (a, q, encoder(dtypes[a])) for a, q in zip(self._value_attrs, qualifiers)
+        )
+        self._value_decoders = tuple((a, decoder(dtypes[a])) for a in self._value_attrs)
+        self._projection = (
+            *self._value_columns,
+            (CF, ROW_MARKER_QUALIFIER),
+            (CF, DIRTY_QUALIFIER),
+        )
 
     @property
     def value_attrs(self) -> tuple[str, ...]:
-        return tuple(a for a in self.attrs if a not in self.key_attrs)
+        return self._value_attrs
 
     def has_attribute(self, name: str) -> bool:
         return name in self.dtypes
 
     # -- encode / decode -------------------------------------------------------------
     def key_dtypes(self) -> tuple[DataType, ...]:
-        return tuple(self.dtypes[a] for a in self.key_attrs)
+        return self._key_dtypes
 
     def encode_key(self, row: dict[str, Any]) -> bytes:
         """Missing/None key components encode as NULL (indexes may carry
         NULL key parts, like Phoenix's); statement-level validation
         rejects base-table writes that omit primary-key attributes."""
-        values = [row.get(a) for a in self.key_attrs]
-        return encode_key(self.key_dtypes(), values)
+        get = row.get
+        return join_key([enc(get(a)) for a, enc in self._key_encoders])
 
     def encode_key_values(self, values: Iterable[Any]) -> bytes:
-        return encode_key(self.key_dtypes(), values)
+        return encode_key(self._key_dtypes, values)
 
     def encode_key_prefix(self, values: list[Any]) -> bytes:
         """Key prefix for the first ``len(values)`` key attributes."""
-        dtypes = self.key_dtypes()[: len(values)]
-        return encode_key(dtypes, values)
+        return encode_key(self._key_dtypes[: len(values)], values)
 
     def decode_key(self, key: bytes) -> dict[str, Any]:
-        values = decode_key(self.key_dtypes(), key)
-        return dict(zip(self.key_attrs, values))
+        parts = split_key(key)
+        decoders = self._key_decoders
+        if len(parts) != len(decoders):
+            raise ValueError(
+                f"key arity mismatch: {len(parts)} components, {len(decoders)} types"
+            )
+        return {a: dec(part) for (a, dec), part in zip(decoders, parts)}
 
     def row_to_put(self, row: dict[str, Any]) -> Put:
         """Encode a full relational row as a single-row Put."""
         put = Put(self.encode_key(row))
-        for attr in self.value_attrs:
-            value = row.get(attr)
-            put.add(CF, attr.encode(), encode_value(self.dtypes[attr], value))
-        if not self.value_attrs:
-            # key-only entries still need one cell so the row exists
-            put.add(CF, ROW_MARKER_QUALIFIER, b"")
+        get = row.get
+        # key-only entries still need one cell so the row exists
+        put.cells = [
+            (CF, qualifier, enc(get(a)), None)
+            for a, qualifier, enc in self._value_encoders
+        ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         return put
 
     def projection(self) -> list[tuple[bytes, bytes]]:
@@ -107,19 +130,15 @@ class CatalogEntry:
         Includes the row marker (key-only entries) and the dirty marker
         (view-maintenance bookkeeping), so results stay byte-identical
         to an unprojected read."""
-        cols = [(CF, attr.encode()) for attr in self.value_attrs]
-        cols.append((CF, ROW_MARKER_QUALIFIER))
-        cols.append((CF, DIRTY_QUALIFIER))
-        return cols
+        return list(self._projection)
 
     def result_to_row(self, result: Result) -> dict[str, Any]:
         """Decode an HBase Result back into a relational row."""
         row = self.decode_key(result.row)
-        for attr in self.value_attrs:
-            raw = result.value(CF, attr.encode())
-            row[attr] = (
-                decode_value(self.dtypes[attr], raw) if raw is not None else None
-            )
+        for (a, dec), raw in zip(
+            self._value_decoders, result.newest_values(self._value_columns)
+        ):
+            row[a] = dec(raw)
         return row
 
 

@@ -96,7 +96,7 @@ def build_region(max_versions: int) -> Region:
 def assert_region_matches_model(region: Region, model: ReferenceModel) -> None:
     expected = model.visible()
     actual = {
-        row: dict(result._cells)
+        row: {k: list(v) for k, v in result._cells.items()}
         for row, result in region.scan(max_versions=region.max_versions)
         if result is not None
     }
@@ -106,7 +106,9 @@ def assert_region_matches_model(region: Region, model: ReferenceModel) -> None:
     for row in ROWS:
         result = region.read_row(row, max_versions=region.max_versions)
         if row in expected:
-            assert result is not None and dict(result._cells) == expected[row]
+            assert result is not None and {
+                k: list(v) for k, v in result._cells.items()
+            } == expected[row]
         else:
             assert result is None
 

@@ -72,6 +72,16 @@ class TestDml:
         assert r.value(CF, b"a") == b"1"
         assert r.value(CF, b"b") == b"2"
 
+    def test_explicit_timestamp_zero_is_kept(self, table):
+        p = Put(b"k")
+        p.add(CF, b"a", b"zero", timestamp=0)
+        p.add(CF, b"b", b"server")
+        table.put(p)
+        put(table, b"k", a=b"newer")
+        r = table.get(Get(b"k", max_versions=5))
+        assert r.versions(CF, b"a")[-1] == (0, b"zero")
+        assert r.versions(CF, b"b")[0][0] > 0  # stamped by the server
+
     def test_get_missing_returns_none(self, table):
         assert table.get(Get(b"nope")) is None
 

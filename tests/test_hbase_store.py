@@ -1,8 +1,12 @@
 """LSM internals: memstore, HFiles, tombstone merge semantics."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hbase.cell import Result
+from repro.hbase.region import Region
 from repro.hbase.store import HFile, MemStore, RowEntry, merge_row
 
 
@@ -56,19 +60,19 @@ class TestMergeRow:
 
     def test_newest_version_wins(self):
         merged = merge_row([self._entry([(1, b"a"), (2, b"b")])], max_versions=1)
-        assert merged[(b"cf", b"q")] == [(2, b"b")]
+        assert merged[(b"cf", b"q")] == ((2, b"b"),)
 
     def test_max_versions_respected(self):
         merged = merge_row(
             [self._entry([(1, b"a"), (2, b"b"), (3, b"c")])], max_versions=2
         )
-        assert merged[(b"cf", b"q")] == [(3, b"c"), (2, b"b")]
+        assert merged[(b"cf", b"q")] == ((3, b"c"), (2, b"b"))
 
     def test_row_tombstone_hides_older_cells(self):
         merged = merge_row(
             [self._entry([(1, b"a"), (5, b"b")], tombstone=3)], max_versions=5
         )
-        assert merged[(b"cf", b"q")] == [(5, b"b")]
+        assert merged[(b"cf", b"q")] == ((5, b"b"),)
 
     def test_fully_deleted_row_is_none(self):
         merged = merge_row([self._entry([(1, b"a")], tombstone=9)], max_versions=1)
@@ -95,7 +99,7 @@ class TestMergeRow:
             max_versions=3,
             time_range=(2, 9),
         )
-        assert merged[(b"cf", b"q")] == [(5, b"b")]
+        assert merged[(b"cf", b"q")] == ((5, b"b"),)
 
     @given(st.lists(st.tuples(st.integers(1, 100), st.binary(max_size=4)),
                     min_size=1, max_size=20))
@@ -123,3 +127,51 @@ class TestHFile:
     def test_unique_file_ids(self):
         a, b = HFile({}), HFile({})
         assert a.file_id != b.file_id
+
+
+class TestResultAdd:
+    def test_add_to_result_built_from_sorted(self):
+        r = Result.from_sorted(b"k", {(b"cf", b"q"): ((5, b"a"), (2, b"b"))})
+        r.add(b"cf", b"q", 7, b"c")
+        r.add(b"cf", b"q", 5, b"d")  # equal timestamps keep insertion order
+        r.add(b"cf", b"new", 1, b"e")
+        assert r.versions(b"cf", b"q") == [(7, b"c"), (5, b"a"), (5, b"d"), (2, b"b")]
+        assert r.value(b"cf", b"new") == b"e"
+
+
+class TestVersionContainersUntracked:
+    """Cell versions are immutable tuples of atomic objects, so after a
+    full collection the cyclic GC no longer tracks them, nor the
+    per-row cell dicts holding them: collections stop walking the store."""
+
+    def test_no_store_container_is_tracked_after_collect(self):
+        region = Region("t", b"", None, max_versions=3, flush_threshold_rows=10_000)
+        for gen in range(3):
+            for i in range(50):
+                row = b"r%03d" % i
+                region.put_row(row, [(b"cf", b"a", b"v%d" % gen, None)], 10 * gen + 1)
+                region.put_row(row, [(b"cf", b"b", b"w", 10 * gen + 2)], 0)
+            if gen == 0:
+                region.flush()
+        region.delete_row(b"r007", None, 100)
+        region.flush()
+        region.major_compact()
+        for i in range(0, 50, 5):  # a dirty memstore on top of the HFile
+            region.put_row(b"r%03d" % i, [(b"cf", b"a", b"late", None)], 50)
+            region.put_row(b"r%03d" % i, [(b"cf", b"a", b"early", None)], 40)
+        assert len(region.hfiles) == 1 and len(region.memstore) == 10
+        # a collection untracks a container only once its elements are
+        # untracked, and visits children after parents: one full
+        # collection per nesting level (cell dict -> versions -> version)
+        for _ in range(3):
+            gc.collect()
+
+        checked = 0
+        for component in [region.memstore, *region.hfiles]:
+            for _, entry in component.items():
+                assert not gc.is_tracked(entry._cells)
+                for versions in entry._cells.values():
+                    assert type(versions) is tuple
+                    assert not gc.is_tracked(versions)
+                    checked += 1
+        assert checked == 49 * 2 + 10

@@ -76,7 +76,7 @@ def streaming_scan(region, columns=None, max_versions=1, time_range=None):
         columns=wanted, max_versions=max_versions, time_range=time_range
     ):
         if result is not None:
-            out.append((row, result._cells))
+            out.append((row, {k: list(v) for k, v in result._cells.items()}))
     return out
 
 
@@ -187,7 +187,9 @@ class TestScannerMatchesReference:
                 if result is None:
                     assert row not in scanned
                 else:
-                    assert scanned[row] == result._cells
+                    assert scanned[row] == {
+                        k: list(v) for k, v in result._cells.items()
+                    }
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)
