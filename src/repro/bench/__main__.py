@@ -16,6 +16,7 @@ byte-identical JSON. ``--gate`` writes into ``bench-gate/<suite>/``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,11 @@ def run_gate(suite: Suite) -> int:
             first, second = (p.read_bytes() for p in paths)
             failed += _verdict(suite, f"{paths[0]} == {paths[1]} byte for byte",
                                first == second)
+            # reruns of one commit agree with each other; the recorded
+            # digest also catches output that moved since the last commit
+            digest = hashlib.sha256(first).hexdigest()
+            failed += _verdict(suite, f"sha256 {digest} == recorded {gate.digest}",
+                               digest == gate.digest)
             doc = json.loads(first)
             for check in gate.json_checks:
                 failed += _verdict(suite, check.__name__, check(doc))

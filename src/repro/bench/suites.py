@@ -68,11 +68,18 @@ class Smoke(NamedTuple):
 class Gate:
     """What ``--gate`` asserts: every smoke predicate; then, when
     ``sweep`` is set (deterministic suites only), that ``--only <suite>
-    *sweep`` run in two separate processes emits byte-identical JSON on
-    which every ``json_checks`` function returns True."""
+    *sweep`` run in two separate processes emits byte-identical JSON
+    whose sha256 is ``digest`` and on which every ``json_checks``
+    function returns True.
+
+    ``digest`` is the sha256 of the sweep JSON the committed code
+    produces, so a change that moves the suite's output fails the gate
+    even when it moves both reruns alike. A change that moves it on
+    purpose records the new digest here."""
 
     smokes: tuple[Smoke, ...] = ()
     sweep: tuple[str, ...] = ()
+    digest: str = ""
     json_checks: tuple[Callable[[dict], bool], ...] = ()
 
 
@@ -167,6 +174,7 @@ _SUITES = (
             ),),
             sweep=("--clients", "1,8", "--concurrency-txns", "4",
                    "--concurrency-scale", "20"),
+            digest="a781aea8ea81fde208823559f31a4fd0b5bf2c571649571083028842bac06056",
         ),
     ),
     Suite(
@@ -187,6 +195,7 @@ _SUITES = (
         gate=Gate(
             sweep=("--servers", "1,2,4,8", "--scaleout-clients", "16",
                    "--scaleout-ops", "40"),
+            digest="fd305121a4d71d02b62c2cf49dad64cda882ba1f49f183c82f7e4434ae1c0764",
             json_checks=(scaleout_throughput_rises_with_servers,),
         ),
     ),
@@ -217,6 +226,7 @@ _SUITES = (
             ),),
             sweep=("--crash-cycles", "0,2,4", "--faults-clients", "8",
                    "--faults-ops", "48"),
+            digest="ff317f4e6074acf36bd15b3a296237c8930e1856093a4b95ae5b5e3973331f90",
         ),
     ),
     Suite(
@@ -251,6 +261,7 @@ _SUITES = (
             ),),
             sweep=("--replicas", "1,2", "--replication-cycles", "0,3",
                    "--replication-clients", "6", "--replication-ops", "32"),
+            digest="21d8167b374301e3d6f47b841789c413026f45a70d787191ef0d1ab09e54e7fb",
             json_checks=(two_replicas_stall_less_than_one,),
         ),
     ),
@@ -290,6 +301,7 @@ _SUITES = (
             ),
             sweep=("--orchestration-cycles", "0,2", "--orchestration-clients",
                    "4", "--orchestration-ops", "48"),
+            digest="60ef9636b5a5802bd1a297d79950ea53c819a27e7e6a0b80d5085f0cdb621606",
         ),
     ),
     Suite(
@@ -318,6 +330,7 @@ _SUITES = (
                  'out["streaming_beats_legacy"]'),
             ),),
             sweep=("--query-scale", "200", "--query-reps", "3"),
+            digest="2d2f4baccfa50a301f427fbeea713b51d9a043367fda56ba368bce1b55c10e95",
         ),
     ),
     Suite(
@@ -354,6 +367,7 @@ _SUITES = (
                  'out["violations"] == 0'),
             ),),
             sweep=("--serving-clients", "64,256,1024", "--serving-ops", "6"),
+            digest="94b287a155878a305fc75107bde5f76e7ad82c9ff39d7df7f98d06d8765baf19",
         ),
     ),
     Suite(
@@ -382,6 +396,7 @@ _SUITES = (
                  'out["decisions"] > 0', 'out["decision_log_deterministic"]'),
             ),),
             sweep=("--federation-scale", "30", "--federation-reps", "4"),
+            digest="4feafeb6dcdb90bb6225304e3643746cbe70938da655639b10799d2959434b67",
         ),
     ),
 )

@@ -240,7 +240,6 @@ class Mediator(EvaluatedSystem):
         self.route_log: list[RouteRecord] = []
         self._statements: dict[str, str] = {}
         self._by_text: dict[str, str] = {}
-        self._parsed: dict[str, tuple[Any, AnalyzedSelect | None]] = {}
         self._estimates: dict[tuple[str, str], float] = {}
         if workload is not None:
             for stmt in workload:
@@ -551,9 +550,9 @@ class Mediator(EvaluatedSystem):
         scheme_for = getattr(backend, "scheme_for", None)
         if scheme_for is None:
             return True
-        stmt, _ = self._parse(sql)
+        stmt = parse_statement(sql)
         if isinstance(stmt, Select):
-            return scheme_for(sql, stmt=stmt) is not None
+            return scheme_for(sql) is not None
         return backend._write_supported(stmt)  # type: ignore[attr-defined]
 
     def _estimate(self, name: str, sql: str) -> float:
@@ -626,14 +625,10 @@ class Mediator(EvaluatedSystem):
 
     # -- decomposition ----------------------------------------------------------------
     def _parse(self, sql: str) -> tuple[Any, AnalyzedSelect | None]:
-        cached = self._parsed.get(sql)
-        if cached is not None:
-            return cached
         stmt = parse_statement(sql)
         analyzed = (
             analyze_select(stmt, self.schema) if isinstance(stmt, Select) else None
         )
-        self._parsed[sql] = (stmt, analyzed)
         return stmt, analyzed
 
     def _split_eligible(
@@ -955,8 +950,7 @@ class FederatedSession(SystemSession):
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
         canonical = self.system._statements.get(sql, sql)
-        stmt, _ = self.system._parse(canonical)
-        if isinstance(stmt, Select):
+        if isinstance(parse_statement(canonical), Select):
             return self.system._execute(sql, params, sessions=None)
         key = (canonical, tuple(params))
         if key in self._poisoned:

@@ -154,12 +154,16 @@ class Catalog:
         self._view_indexes: dict[str, list[str]] = {}
         self.stats: dict[str, int] = {}
         """entry name -> cached row count (refreshed by ``analyze``)."""
+        self.generation = 0
+        """Bumped by every change a planner reads (a new entry, refreshed
+        statistics); cached plans carry it in their key."""
 
     # -- registration ---------------------------------------------------------------
     def add_entry(self, entry: CatalogEntry) -> CatalogEntry:
         if entry.name in self._entries:
             raise SchemaError(f"duplicate catalog entry {entry.name!r}")
         self._entries[entry.name] = entry
+        self.generation += 1
         if entry.kind == TABLE:
             assert entry.relation is not None
             self._relation_table[entry.relation] = entry.name
@@ -229,6 +233,10 @@ class Catalog:
         return self.entry(name)
 
     # -- statistics ------------------------------------------------------------------
+    def set_row_counts(self, counts: dict[str, int]) -> None:
+        self.stats.update(counts)
+        self.generation += 1
+
     def estimated_rows(self, entry_name: str) -> int:
         return self.stats.get(entry_name, 1_000_000_000)
 

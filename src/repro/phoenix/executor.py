@@ -19,6 +19,7 @@ from repro.phoenix.plans import ExecutionContext, Row, _lookup
 from repro.phoenix.writes import WriteExecutor
 from repro.sim.latency import LatencyCharger
 from repro.sql.ast import Delete, Insert, Select, Statement, Update
+from repro.sql.cache import StatementCache
 from repro.sql.parser import parse_statement
 
 MAX_DIRTY_RESTARTS = 32
@@ -52,7 +53,7 @@ class PhoenixConnection:
         self.writer = WriteExecutor(client, catalog)
         self.mvcc_version_check = mvcc_version_check
         self.hashjoin_row_bytes = 150
-        self._plan_cache: dict[str, PlannedQuery] = {}
+        self._plan_cache: StatementCache[PlannedQuery] = StatementCache()
 
     def _build_planner(self, cost_based: bool) -> Planner:
         if cost_based:
@@ -80,17 +81,18 @@ class PhoenixConnection:
 
     # -- queries -----------------------------------------------------------------------
     def plan(self, select: Select | str) -> PlannedQuery:
-        if isinstance(select, str):
-            cached = self._plan_cache.get(select)
-            if cached is not None:
-                return cached
-            stmt = parse_statement(select)
-            if not isinstance(stmt, Select):
-                raise PlanError("plan() expects a SELECT statement")
-            planned = self.planner.plan_select(stmt)
-            self._plan_cache[select] = planned
-            return planned
-        return self.planner.plan_select(select)
+        """Plan a SELECT. A rule-based plan of a statement text is cached
+        per (text, catalog generation). Cost-based plans price live
+        region statistics and are never cached, nor are plans of an AST
+        passed in directly."""
+        if not isinstance(select, str):
+            return self.planner.plan_select(select)
+        if self.cost_based:
+            return self.planner.plan_select(_parse_select(select))
+        return self._plan_cache.get(
+            (select, self.catalog.generation),
+            lambda: self.planner.plan_select(_parse_select(select)),
+        )
 
     def execute_query(
         self, select: Select | str, params: tuple[Any, ...] = ()
@@ -185,14 +187,21 @@ class PhoenixConnection:
         """Dispatch on statement type (SELECT -> rows, writes -> count)."""
         stmt = parse_statement(sql)
         if isinstance(stmt, Select):
-            return self.execute_query(stmt, params)
+            return self.execute_query(sql, params)
         return self.execute_write(stmt, params)
 
     # -- statistics ---------------------------------------------------------------------
     def analyze(self) -> None:
         """Refresh row-count statistics for every catalog entry."""
-        for entry in self.catalog.entries():
-            if self.client.has_table(entry.name):
-                self.catalog.stats[entry.name] = self.client.cluster.table_row_count(
-                    entry.name
-                )
+        self.catalog.set_row_counts({
+            entry.name: self.client.cluster.table_row_count(entry.name)
+            for entry in self.catalog.entries()
+            if self.client.has_table(entry.name)
+        })
+
+
+def _parse_select(sql: str) -> Select:
+    stmt = parse_statement(sql)
+    if not isinstance(stmt, Select):
+        raise PlanError("plan() expects a SELECT statement")
+    return stmt

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import SqlSyntaxError
 from repro.sql.ast import (
     BinOp,
@@ -291,6 +293,17 @@ class _Parser:
         return Delete(table=table, where=where)
 
 
+#: Distinct statement texts whose ASTs :func:`parse_statement` keeps; the
+#: least recently used text is dropped first.
+PARSE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_statement(sql: str) -> Statement:
-    """Parse one SQL statement into its AST."""
+    """Parse one SQL statement into its AST.
+
+    Memoized per text: the AST is frozen dataclasses with tuple fields,
+    so every caller can share one tree. A syntax error is never cached;
+    the same :class:`~repro.errors.SqlSyntaxError` is raised afresh on
+    every call."""
     return _Parser(sql).parse()

@@ -174,9 +174,8 @@ class SynergySystem:
         params: tuple[Any, ...] = (),
         on_step: StepHook | None = None,
     ) -> Any:
-        stmt = parse_statement(sql)
-        if isinstance(stmt, Select):
-            return self.conn.execute_query(stmt, params)
+        if isinstance(parse_statement(sql), Select):
+            return self.conn.execute_query(sql, params)
         return self.txlayer.execute_write(sql, params, on_step)
 
     def execute_id(self, statement_id: str, params: tuple[Any, ...] = ()) -> Any:

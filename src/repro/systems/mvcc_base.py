@@ -83,7 +83,7 @@ class MvccSession(SystemSession):
                 self._snapshot_charged = True
             # read committed: straight from the store, no server round
             # trip (see the class docstring for the isolation model)
-            return self.system.conn.execute_query(stmt, params)
+            return self.system.conn.execute_query(sql, params)
         sim.charge(sim.cost.phoenix_statement_ms, "phoenix.statement")
         if self.tx is None:
             # the write transaction opens lazily at the first write, so
@@ -177,7 +177,7 @@ class MvccSystemBase(EvaluatedSystem):
         if isinstance(stmt, Select):
             tx = self.tephra.begin(read_only=True)
             try:
-                rows = self.conn.execute_query(stmt, params)
+                rows = self.conn.execute_query(sql, params)
             except BaseException:
                 self.tephra.abort(tx)
                 raise

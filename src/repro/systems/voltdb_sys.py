@@ -14,9 +14,9 @@ from repro.errors import UnsupportedStatementError
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
-from repro.sql.analyzer import analyze_select
+from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import ColumnRef, Delete, Insert, Literal, Param, Select, Update
-from repro.sql.parser import parse_statement
+from repro.sql.cache import StatementCache
 from repro.systems.base import EvaluatedSystem, SystemDescription, SystemSession
 from repro.voltdb.system import PartitionScheme, TPCW_SCHEMES, VoltDBSystem
 
@@ -38,17 +38,13 @@ class VoltdbSession(SystemSession):
         if ctx is None:
             return self.system.execute(sql, params)
         engine = self.system.engine
-        stmt = parse_statement(sql)  # parsed and analyzed once, shared below
-        analyzed = (
-            analyze_select(stmt, engine.schema)
-            if isinstance(stmt, Select) else None
-        )
-        scheme = self.system.scheme_for(sql, stmt=stmt, analyzed=analyzed)
+        scheme = self.system.scheme_for(sql)
         if scheme is None:
             raise UnsupportedStatementError(
                 "query joins are not supported under any partitioning scheme"
             )
         engine.set_scheme(scheme)
+        stmt, analyzed = engine.prepare(sql)
         sites = [
             (engine, p) for p in engine.partitions_for(stmt, params, analyzed)
         ]
@@ -58,7 +54,7 @@ class VoltdbSession(SystemSession):
             # queueing delay, not work: bypass jitter, advance exactly
             clock.advance(wait_ms)
             sim.metrics.timer("voltdb.queue_wait").record(wait_ms)
-        result = engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
+        result = engine.execute(sql, params)
         ctx.serial_occupy(sites, clock.now_ms)
         return result
 
@@ -83,6 +79,7 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
             schema, sim, self.schemes[0], num_partitions
         )
         self._statements = {s.statement_id: s.sql for s in workload}
+        self._schemes: StatementCache[PartitionScheme | None] = StatementCache()
 
     @property
     def sim(self) -> Simulation:
@@ -91,15 +88,21 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
     def statement(self, statement_id: str) -> str:
         return self._statements[statement_id]
 
-    def scheme_for(
-        self, sql: str, stmt: Any | None = None, analyzed: Any | None = None
-    ) -> PartitionScheme | None:
-        if stmt is None:
-            stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
-            return self.schemes[0]
+    def scheme_for(self, sql: str) -> PartitionScheme | None:
+        """The first scheme that admits a read (chosen once per text), or
+        the primary scheme for a write. A read leaves the engine on the
+        chosen scheme, or on the last one when none admits it, exactly
+        as probing the schemes in order does."""
+        stmt, analyzed = self.engine.prepare(sql)
         if analyzed is None:
-            analyzed = analyze_select(stmt, self.engine.schema)
+            return self.schemes[0]
+        scheme = self._schemes.get(sql, lambda: self._first_admitting(stmt, analyzed))
+        self.engine.set_scheme(scheme or self.schemes[-1])
+        return scheme
+
+    def _first_admitting(
+        self, stmt: Select, analyzed: AnalyzedSelect
+    ) -> PartitionScheme | None:
         for scheme in self.schemes:
             self.engine.set_scheme(scheme)
             try:
@@ -116,14 +119,14 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         sql = self._statements.get(statement_id)
         if sql is None:
             return False
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
+        stmt, analyzed = self.engine.prepare(sql)
+        if analyzed is None:
             # scheme_for admits every write under the primary scheme, but
             # the procedure layer can only route writes that bind the full
             # primary key with equality — claiming support for anything
             # else fails at execute() with UnsupportedStatementError
             return self._write_supported(stmt)
-        return self.scheme_for(sql, stmt=stmt) is not None
+        return self.scheme_for(sql) is not None
 
     def _write_supported(self, stmt: Any) -> bool:
         """Static mirror of the engine's write routing rules: inserts

@@ -30,6 +30,7 @@ from repro.sql.ast import (
     Statement,
     Update,
 )
+from repro.sql.cache import StatementCache
 from repro.sql.parser import parse_statement
 from repro.voltdb.table import VoltTable
 
@@ -123,6 +124,9 @@ class VoltDBSystem:
                 self.tables[rel.name].create_index(idx.indexed_on[0])
             for fk in rel.foreign_keys:
                 self.tables[rel.name].create_index(fk.attributes[0])
+        self._prepared: StatementCache[
+            tuple[Statement, AnalyzedSelect | None]
+        ] = StatementCache()
 
     def set_scheme(self, scheme: PartitionScheme) -> None:
         """Re-partition (logically; the store itself is scheme-agnostic)."""
@@ -166,26 +170,31 @@ class VoltDBSystem:
         # partition column on both sides — covered by the checks above.
 
     def supports(self, sql: str) -> bool:
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
+        stmt, analyzed = self.prepare(sql)
+        if analyzed is None:
             return True
         try:
-            self.check_supported(stmt)
+            self.check_supported(stmt, analyzed)
             return True
         except UnsupportedStatementError:
             return False
 
     # -- execution -----------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: tuple[Any, ...] = (),
-        stmt: Statement | None = None,
-        analyzed: AnalyzedSelect | None = None,
-    ) -> Any:
-        if stmt is None:
+    def prepare(self, sql: str) -> tuple[Statement, AnalyzedSelect | None]:
+        """The statement and, for a SELECT, its analysis against the
+        schema; compiled once per text, like a stored procedure."""
+
+        def compile() -> tuple[Statement, AnalyzedSelect | None]:
             stmt = parse_statement(sql)
-        if isinstance(stmt, Select):
+            if isinstance(stmt, Select):
+                return stmt, analyze_select(stmt, self.schema)
+            return stmt, None
+
+        return self._prepared.get(sql, compile)
+
+    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+        stmt, analyzed = self.prepare(sql)
+        if analyzed is not None:
             return self._execute_select(stmt, params, analyzed)
         return self._execute_write(stmt, params)
 

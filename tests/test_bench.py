@@ -178,6 +178,7 @@ class TestSuiteRecords:
                 continue
             # the byte-identical rerun only makes sense without wall-clock
             assert suite.deterministic, suite.name
+            assert re.fullmatch("[0-9a-f]{64}", suite.gate.digest), suite.name
             own = {flag.name for flag in suite.flags}
             sweep_flags = {a for a in suite.gate.sweep if a.startswith("--")}
             assert sweep_flags <= own, (suite.name, sweep_flags - own)
@@ -202,3 +203,25 @@ class TestSuiteRecords:
         err = capsys.readouterr().err
         assert 'out["hits"] > 0' in err
         assert 'out["errors"] == 0' not in err
+
+    def test_gate_fails_on_a_sweep_digest_other_than_the_recorded_one(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """Two reruns that agree with each other still fail when their
+        JSON differs from the digest recorded with the suite."""
+        import hashlib
+        import subprocess
+
+        from repro.bench import __main__ as cli
+
+        def fake_run(argv, **kwargs):
+            Path(argv[argv.index("--emit-json") + 1]).write_bytes(b"{}\n")
+            return subprocess.CompletedProcess(argv, 0)
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        monkeypatch.chdir(tmp_path)
+        for digest, code in ((hashlib.sha256(b"{}\n").hexdigest(), 0), ("0" * 64, 1)):
+            stub = Suite("stub", run=lambda a, say, lab: [], deterministic=True,
+                         gate=Gate(sweep=("--reps", "1"), digest=digest))
+            assert cli.run_gate(stub) == code
+        assert "== recorded " + "0" * 64 in capsys.readouterr().err
